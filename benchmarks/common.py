@@ -5,11 +5,9 @@ the series/rows are printed and also written to ``benchmarks/results/`` so
 they survive pytest's output capturing.  Expensive per-benchmark task
 construction is cached across benches within a session.
 
-The module also provides a per-stage wall-clock timing harness
-(:func:`stage`, :func:`stage_report`) and a JSON emitter
-(:func:`emit_json`) used by the identification-pipeline speed bench to
-persist ``BENCH_identification.json`` — the perf trajectory consumed by
-future PRs.
+The module also provides a JSON emitter (:func:`emit_json`) used by the
+speed benches to persist ``BENCH_*.json`` — the perf trajectory later
+changes are measured against.
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ import functools
 import json
 import os
 import platform
-import time
-from contextlib import contextmanager
 from pathlib import Path
 
 from repro import obs
@@ -29,10 +25,6 @@ from repro.rtsched import PeriodicTask, TaskSet, scale_periods_for_utilization
 from repro.workloads import get_program
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Accumulated wall-clock seconds and entry counts per stage name.
-_STAGE_SECONDS: dict[str, float] = {}
-_STAGE_CALLS: dict[str, int] = {}
 
 
 def emit(name: str, lines: list[str]) -> None:
@@ -88,32 +80,6 @@ def emit_json(name: str, payload: dict) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\n=== {name} ===\n{json.dumps(payload, indent=2, sort_keys=True)}")
     return path
-
-
-@contextmanager
-def stage(name: str):
-    """Accumulate wall-clock time for one named pipeline stage."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - t0
-        _STAGE_SECONDS[name] = _STAGE_SECONDS.get(name, 0.0) + elapsed
-        _STAGE_CALLS[name] = _STAGE_CALLS.get(name, 0) + 1
-
-
-def reset_stages() -> None:
-    """Drop all accumulated stage timings."""
-    _STAGE_SECONDS.clear()
-    _STAGE_CALLS.clear()
-
-
-def stage_report() -> dict[str, dict[str, float]]:
-    """Seconds and call counts accumulated per stage since the last reset."""
-    return {
-        name: {"seconds": secs, "calls": _STAGE_CALLS.get(name, 0)}
-        for name, secs in sorted(_STAGE_SECONDS.items())
-    }
 
 
 @functools.lru_cache(maxsize=None)

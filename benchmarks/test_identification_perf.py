@@ -10,21 +10,15 @@ under four setups:
   engine-qualified so its *enumeration* runs cold, while the
   engine-independent curve/select caches stay primed from the bitset row
   (only the enumerate stage is a cold-vs-cold comparison);
-* ``compiled_cold``  — the compiled engine the same way; under a numba
-  toolchain its first call additionally pays the (disk-cached) JIT
-  build, which is exactly what a cold pipeline run pays — on hosts
-  without numba the row measures the array-fallback ladder instead (the
-  payload's ``jit`` block records which);
-* ``auto_cold``      — ``engine="auto"`` per-block dispatch, cold the
-  same way;
 * ``bitset_warm``    — the bitset engine re-run with primed caches.
 
-Per-stage wall clock (enumerate / curves / select), candidate-visit rates
-and the speedup ratios are written to
+Per-stage wall clock (enumerate / curves / select, summed from the
+``bench.*`` :mod:`repro.obs` spans each pass records), candidate-visit
+rates and the speedup ratios are written to
 ``benchmarks/results/BENCH_identification.json``.  Engine enumeration
 comparisons (rates and ``*_enumeration`` ratios) use the pure
 ``stats["enumerate_seconds"]`` measured around :func:`enumerate_connected`
-itself — the stage timer also covers candidate costing, which is
+itself — the enumerate stage also covers candidate costing, which is
 engine-independent work that would dilute the ratios.
 """
 
@@ -33,10 +27,8 @@ from __future__ import annotations
 import math
 import time
 
-import warnings
-
-from benchmarks.common import emit_json, reset_stages, stage, stage_report
-from repro import cache, jit, obs
+from benchmarks.common import emit_json
+from repro import cache, obs
 from repro.core import select_edf, select_rms
 from repro.enumeration import build_candidate_library
 from repro.rtsched import PeriodicTask, scale_periods_for_utilization
@@ -63,47 +55,65 @@ def _workload_pairs() -> list[tuple[str, int]]:
     return sorted(pairs)
 
 
+def _stage_seconds(spans: list[dict]) -> dict[str, float]:
+    """Wall-clock seconds per pipeline stage, summed over the
+    ``bench.<stage>`` spans of one pass."""
+    seconds: dict[str, float] = {}
+    for sp in spans:
+        if sp["name"].startswith("bench."):
+            stage = sp["name"][len("bench."):]
+            seconds[stage] = seconds.get(stage, 0.0) + sp["dur"]
+    return seconds
+
+
 def _run_pipeline(engine: str, use_cache: bool, label: str) -> dict:
     """One full identification+curve+selection pass over the workload."""
-    reset_stages()
     enum_stats: dict = {}
     tasks: dict[tuple[str, int], PeriodicTask] = {}
-    t0 = time.perf_counter()
-    for name, salt in _workload_pairs():
-        program = get_program(name, salt)
-        with stage("enumerate"):
-            library = build_candidate_library(
-                program, engine=engine, use_cache=use_cache, stats=enum_stats
+    obs.clear_trace()
+    obs.enable_tracing()
+    try:
+        t0 = time.perf_counter()
+        for name, salt in _workload_pairs():
+            program = get_program(name, salt)
+            with obs.span("bench.enumerate"):
+                library = build_candidate_library(
+                    program, engine=engine, use_cache=use_cache,
+                    stats=enum_stats,
+                )
+            with obs.span("bench.curves"):
+                curve = downsample_curve(
+                    build_configuration_curve(
+                        program, library.candidates, use_cache=use_cache
+                    ),
+                    24,
+                )
+            tasks[(name, salt)] = PeriodicTask(
+                name=program.name,
+                period=2.0 * curve[0].cycles,
+                wcet=curve[0].cycles,
+                configurations=tuple(curve),
             )
-        with stage("curves"):
-            curve = downsample_curve(
-                build_configuration_curve(
-                    program, library.candidates, use_cache=use_cache
-                ),
-                24,
-            )
-        tasks[(name, salt)] = PeriodicTask(
-            name=program.name,
-            period=2.0 * curve[0].cycles,
-            wcet=curve[0].cycles,
-            configurations=tuple(curve),
-        )
-    with stage("select"):
-        for k, names in sorted(CH3_TASK_SETS.items()):
-            seen: dict[str, int] = {}
-            members = []
-            for name in names:
-                salt = seen.get(name, 0)
-                seen[name] = salt + 1
-                members.append(tasks[(name, salt)])
-            ts = scale_periods_for_utilization(members, 1.05, name=f"ts{k}")
-            for frac in AREA_FRACTIONS:
-                budget = ts.max_area * frac
-                select_edf(ts, budget)
-                select_rms(ts, budget)
-    total = time.perf_counter() - t0
-    report = stage_report()
-    stage_enum_seconds = report.get("enumerate", {}).get("seconds", 0.0)
+        with obs.span("bench.select"):
+            for k, names in sorted(CH3_TASK_SETS.items()):
+                seen: dict[str, int] = {}
+                members = []
+                for name in names:
+                    salt = seen.get(name, 0)
+                    seen[name] = salt + 1
+                    members.append(tasks[(name, salt)])
+                ts = scale_periods_for_utilization(
+                    members, 1.05, name=f"ts{k}"
+                )
+                for frac in AREA_FRACTIONS:
+                    budget = ts.max_area * frac
+                    select_edf(ts, budget)
+                    select_rms(ts, budget)
+        total = time.perf_counter() - t0
+    finally:
+        obs.disable_tracing()
+    stages = _stage_seconds(obs.trace_spans())
+    obs.clear_trace()
     # Pure time inside enumerate_connected (excludes candidate costing,
     # which the enumerate *stage* also covers) — the engine-comparable
     # denominator for visit rates and enumeration speedups.
@@ -115,9 +125,9 @@ def _run_pipeline(engine: str, use_cache: bool, label: str) -> dict:
         "use_cache": use_cache,
         "programs": len(tasks),
         "total_seconds": round(total, 4),
-        "stages": {k: round(v["seconds"], 4) for k, v in report.items()},
+        "stages": {k: round(v, 4) for k, v in sorted(stages.items())},
         "identification_seconds": round(
-            stage_enum_seconds + report.get("curves", {}).get("seconds", 0.0), 4
+            stages.get("enumerate", 0.0) + stages.get("curves", 0.0), 4
         ),
         "enumerate_seconds": round(enum_seconds, 4),
         "candidates_visited": visited,
@@ -195,24 +205,12 @@ def test_identification_pipeline_speed(benchmark):
     # and for building the shared per-DFG bitset masks — just above).
     array_cold = _run_pipeline("array", use_cache=True, label="array_cold")
 
-    obs.reset()  # fresh fallback counters for the jit payload block
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        compiled_cold = _run_pipeline(
-            "compiled", use_cache=True, label="compiled_cold"
-        )
-        auto_cold = _run_pipeline("auto", use_cache=True, label="auto_cold")
-
     warm = benchmark.pedantic(
         _run_pipeline, args=("bitset", True, "bitset_warm"), rounds=1, iterations=1
     )
 
     bitset_best = _enumeration_seconds("bitset")
     array_best = _enumeration_seconds("array")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        compiled_best = _enumeration_seconds("compiled")
-        auto_best = _enumeration_seconds("auto")
     # The reference engine is ~10x slower, so noise is proportionally
     # smaller — two repeats suffice.
     reference_best = _enumeration_seconds("reference", repeats=2)
@@ -220,22 +218,14 @@ def test_identification_pipeline_speed(benchmark):
     def ratio(a: float, b: float) -> float:
         return round(a / b, 2) if b > 0 else math.inf
 
-    fallbacks = obs.metrics_snapshot()["counters"].get("jit.fallback", 0)
     payload = {
         "workload": "figure_3_3",
-        "rows": [reference, cold, array_cold, compiled_cold, auto_cold, warm],
-        "jit": {
-            "toolchain": jit.toolchain(),
-            "kernel_builds": jit.kernel_build_count(),
-            "fallbacks": fallbacks,
-        },
+        "rows": [reference, cold, array_cold, warm],
         "enumeration_best_of": {
             "repeats": ENUM_REPEATS,
             "reference_seconds": round(reference_best, 4),
             "bitset_seconds": round(bitset_best, 4),
             "array_seconds": round(array_best, 4),
-            "compiled_seconds": round(compiled_best, 4),
-            "auto_seconds": round(auto_best, 4),
         },
         "speedups": {
             "bitset_vs_reference_identification": ratio(
@@ -258,15 +248,6 @@ def test_identification_pipeline_speed(benchmark):
             ),
             "array_vs_reference_enumeration_best": ratio(
                 reference_best, array_best
-            ),
-            "compiled_vs_array_enumeration_best": ratio(
-                array_best, compiled_best
-            ),
-            "compiled_vs_bitset_enumeration_best": ratio(
-                bitset_best, compiled_best
-            ),
-            "auto_vs_best_engine_enumeration_best": ratio(
-                min(bitset_best, array_best, compiled_best), auto_best
             ),
             "warm_vs_cold_identification": ratio(
                 cold["identification_seconds"], warm["identification_seconds"]
@@ -292,15 +273,3 @@ def test_identification_pipeline_speed(benchmark):
     # bitset engine (observed ~2x faster best-of-N; the 1.0 floor keeps
     # single-core CI noise from flaking the build).
     assert speedups["array_vs_bitset_enumeration_best"] >= 1.0
-    # Soft guard: compiled must at least keep pace with array.  Under a
-    # numba toolchain it runs real kernels (observed well above 1.0);
-    # without one it IS the array engine behind a fallback shim, so only
-    # dispatch noise separates the two — allow 15% for it.
-    floor = 1.0 if jit.toolchain() == "numba" else 0.85
-    assert speedups["compiled_vs_array_enumeration_best"] >= floor
-    # Auto dispatch must track the best hand-picked engine.  The hard
-    # per-row 10% guard lives in benchmarks/test_scalability.py (with an
-    # absolute slack term); this best-of ratio has no slack term, so it
-    # gets a slightly looser floor — on this sub-second sweep auto IS
-    # the engine it resolves to and only timer noise separates them.
-    assert speedups["auto_vs_best_engine_enumeration_best"] >= 0.85

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 
-from repro import cache, jit, obs
+from repro import cache, obs
 from repro.enumeration.mimo import enumerate_connected
 from repro.enumeration.patterns import CandidateLibrary, make_candidate
 from repro.graphs.program import Program
@@ -98,11 +98,8 @@ def build_candidate_library(
             max_candidates_per_block=max_candidates_per_block,
             include_disconnected=include_disconnected,
             max_disconnected_per_block=max_disconnected_per_block,
-            # Toolchain-dependent engines ("auto", "compiled") resolve to
-            # different search orders per host; tag them so shared caches
-            # never cross-serve artifacts (see jit.engine_cache_tag).
             model=(type(model).__name__, model.cycle_delay),
-            engine=jit.engine_cache_tag(engine),
+            engine=engine,
         )
         hit = cache.fetch_candidates(key)
         if hit is not None:

@@ -188,10 +188,10 @@ def _output_counts(
 def canonical_candidates(rows: np.ndarray) -> list[frozenset[int]]:
     """Dedupe + canonically order a stacked matrix of candidate bitsets.
 
-    Shared finishing pass of the array and compiled engines: unique rows
-    (popped siblings can re-enter via fresh bits, so the walks can
-    revisit a subgraph — the bitset engine carries the same
-    belt-and-braces set), then the engines' canonical order (largest
+    Finishing pass of the array engine: unique rows (popped siblings can
+    re-enter via fresh bits, so the walk can revisit a subgraph — the
+    bitset engine carries the same belt-and-braces set), then the
+    engines' canonical order (largest
     first, lexicographic ids inside a size).  ``set_bits_csr`` emits each
     row's ids ascending, so the sort key is the extracted segment itself
     — no per-candidate ``sorted()``.

@@ -1,7 +1,7 @@
-"""NumPy bitset-matrix kernels shared by the ``engine="array"`` fast paths.
+"""NumPy bitset-matrix kernels for the ``engine="array"`` enumeration path.
 
-The bitset engines (PR 1/5) represent node sets as Python int bitmasks —
-one arbitrary-precision int per subgraph.  The array engines restructure
+The bitset engines represent node sets as Python int bitmasks — one
+arbitrary-precision int per subgraph.  The array engine restructures
 that state as **uint64 bitset matrices**: a batch of ``B`` node sets over
 an ``n``-node DFG is a ``(B, n_words)`` ndarray with ``n_words =
 ceil(n / 64)``, bit ``n`` of a row (little-endian word order) marking node
@@ -28,7 +28,6 @@ __all__ = [
     "unpack_bits",
     "bit_rows",
     "low_mask_rows",
-    "row_to_int",
     "popcount_rows",
     "popcount_u64",
     "nonzero_rows",
@@ -86,11 +85,6 @@ def low_mask_rows(thresholds, words: int) -> np.ndarray:
     return np.where(
         k >= 64, np.uint64(0xFFFFFFFFFFFFFFFF), shifted - np.uint64(1)
     )
-
-
-def row_to_int(row: np.ndarray) -> int:
-    """One uint64 bitset row back to a Python int bitmask."""
-    return int.from_bytes(np.ascontiguousarray(row).tobytes(), "little")
 
 
 def unpack_bits(rows: np.ndarray, n_bits: int) -> np.ndarray:

@@ -167,6 +167,25 @@ class Job:
         return d
 
 
+class _ConnProtocol(asyncio.StreamReaderProtocol):
+    """Stream protocol that registers its transport in *transports* from
+    accept until the connection is lost."""
+
+    def __init__(self, transports: set, handler) -> None:
+        super().__init__(asyncio.StreamReader(), handler)
+        self._registry = transports
+        self._conn: asyncio.BaseTransport | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._conn = transport
+        self._registry.add(transport)
+        super().connection_made(transport)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._registry.discard(self._conn)
+        super().connection_lost(exc)
+
+
 class JobServer:
     """See the module docstring; construct, ``start()``, then serve."""
 
@@ -217,7 +236,9 @@ class JobServer:
         self._worker_tasks: list[asyncio.Task] = []
         self._pool: ProcessPoolExecutor | None = None
         self._endpoints: list[asyncio.AbstractServer] = []
-        self._conns: set[asyncio.StreamWriter] = set()
+        # Every open client connection, registered at accept (before its
+        # handler runs), so stop() can close even unhandled ones.
+        self._transports: set[asyncio.BaseTransport] = set()
         self._seq = itertools.count(1)
         self._stopped: asyncio.Event | None = None
         self._started = False
@@ -299,13 +320,15 @@ class JobServer:
     async def start_unix(self, path: str) -> None:
         """Additionally accept the JSON-lines protocol on a unix socket."""
         await self.start()
-        srv = await asyncio.start_unix_server(self._handle_conn, path=path)
+        loop = asyncio.get_running_loop()
+        srv = await loop.create_unix_server(self._new_protocol, path=path)
         self._endpoints.append(srv)
 
     async def start_tcp(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Accept the protocol on localhost TCP; returns the bound port."""
         await self.start()
-        srv = await asyncio.start_server(self._handle_conn, host=host, port=port)
+        loop = asyncio.get_running_loop()
+        srv = await loop.create_server(self._new_protocol, host=host, port=port)
         self._endpoints.append(srv)
         return srv.sockets[0].getsockname()[1]
 
@@ -324,13 +347,19 @@ class JobServer:
         if not self._started:
             return
         self._started = False
+        # Stop accepting first, then let accepts already under way build
+        # their transports: a transport built after its server closed is
+        # left half-open, with its client waiting out its own timeout.
+        loop = asyncio.get_running_loop()
+        for srv in self._endpoints:
+            for sock in srv.sockets:
+                loop.remove_reader(sock.fileno())
+        for _ in range(2):
+            await asyncio.sleep(0)
+        # No wait_closed(): from Python 3.12 it waits for every open
+        # connection to drop, and those are only closed further down.
         for srv in self._endpoints:
             srv.close()
-        for srv in self._endpoints:
-            try:
-                await srv.wait_closed()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
         self._endpoints.clear()
         for task in self._worker_tasks:
             task.cancel()
@@ -355,11 +384,8 @@ class JobServer:
         # server), never a half-open socket abandoned with the loop.
         for _ in range(3):
             await asyncio.sleep(0)
-        for writer in list(self._conns):
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
+        for transport in list(self._transports):
+            transport.close()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -782,6 +808,9 @@ class JobServer:
     # ------------------------------------------------------------------
     # JSON-lines protocol
     # ------------------------------------------------------------------
+    def _new_protocol(self) -> "_ConnProtocol":
+        return _ConnProtocol(self._transports, self._handle_conn)
+
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -789,7 +818,6 @@ class JobServer:
             writer.write(json.dumps(payload).encode() + b"\n")
             await writer.drain()
 
-        self._conns.add(writer)
         try:
             while True:
                 line = await reader.readline()
@@ -821,7 +849,6 @@ class JobServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._conns.discard(writer)
             try:
                 writer.close()
                 await writer.wait_closed()

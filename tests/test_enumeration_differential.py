@@ -1,19 +1,15 @@
-"""Differential tests: array/compiled enumeration engines vs bitset/reference.
+"""Differential tests: the array enumeration engine vs bitset/reference.
 
 The ``engine="array"`` enumerator is promised *bit-identical* to the
 bitset engine — same candidate sets in the same order AND the same five
 stats counters — whenever the visit budgets and candidate caps do not
 bind (under binding budgets the engines spend the same per-root budgets
 breadth-first vs depth-first, so only determinism and cap-respect are
-promised).  The ``engine="compiled"`` kernel walks the exact same level
-tree as the array engine and must match it at **every** budget, binding
-or not.  The bitset engine is in turn candidate-identical to the
-original set-based reference.  These tests enforce all three promises
-across seeded random DFGs, synthetic blocks and real benchmark blocks,
+promised).  The bitset engine is in turn candidate-identical to the
+original set-based reference.  These tests enforce both promises across
+seeded random DFGs, synthetic blocks and real benchmark blocks,
 mirroring :mod:`tests.test_partitioning_differential` for the
-partitioning engines.  On hosts without numba the compiled kernels run
-under the interpreted tier (:func:`repro.jit.force_interp_for_tests`)
-— same logic, bit for bit.
+partitioning engines.
 """
 
 from __future__ import annotations
@@ -22,9 +18,9 @@ import random
 
 import pytest
 
-from repro import jit, npbits
+from repro import npbits
 from repro.enumeration import enumerate_connected
-from repro.enumeration import mimo_array, mimo_compiled
+from repro.enumeration import mimo_array
 from repro.workloads import get_program
 from repro.workloads.synthesis import OP_MIXES, synth_dfg
 from tests.conftest import random_small_dfg
@@ -48,77 +44,61 @@ def force_array(monkeypatch):
     monkeypatch.setattr(mimo_array, "ARRAY_MIN_NODES", 0)
 
 
-@pytest.fixture
-def force_kernels(monkeypatch):
-    """Drive every engine's real kernel regardless of block size/toolchain:
-    array + compiled cutoffs pinned to 0, and the compiled kernels forced
-    onto the interpreted tier when numba is not importable."""
-    monkeypatch.setattr(mimo_array, "ARRAY_MIN_NODES", 0)
-    monkeypatch.setattr(mimo_compiled, "COMPILED_MIN_NODES", 0)
-    jit.force_interp_for_tests(monkeypatch)
-    yield
-    monkeypatch.undo()
-    jit.reset_toolchain_cache()
-
-
 def _run(dfg, engine, **kw):
     stats: dict = {}
     out = enumerate_connected(dfg, engine=engine, stats=stats, **kw)
     return out, {k: stats.get(k, 0) for k in STAT_KEYS}
 
 
-def _assert_quartet_identical(dfg, **kw):
+def _assert_trio_identical(dfg, **kw):
     ref, _ = _run(dfg, "reference", **kw)
     bit, bit_stats = _run(dfg, "bitset", **kw)
     arr, arr_stats = _run(dfg, "array", **kw)
-    comp, comp_stats = _run(dfg, "compiled", **kw)
     assert arr == bit, "array candidates diverged from bitset"
     assert arr_stats == bit_stats, "array counters diverged from bitset"
-    assert comp == arr, "compiled candidates diverged from array"
-    assert comp_stats == arr_stats, "compiled counters diverged from array"
     assert arr == ref, "array candidates diverged from reference"
 
 
 class TestArrayDifferential:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("n", (10, 18, 26))
-    def test_random_dfgs_bit_identical(self, force_kernels, seed, n):
-        """30 seeded random DFGs: array == compiled == bitset (candidates
+    def test_random_dfgs_bit_identical(self, force_array, seed, n):
+        """30 seeded random DFGs: array == bitset (candidates
         + counters) and == reference (candidates), non-binding budgets."""
         dfg = random_small_dfg(seed, n=n)
-        _assert_quartet_identical(
+        _assert_trio_identical(
             dfg, max_inputs=4, max_outputs=2, max_size=8, **NO_BUDGET
         )
 
     @pytest.mark.parametrize("mi,mo", ((2, 1), (3, 2), (4, 3)))
-    def test_port_constraint_sweep(self, force_kernels, mi, mo):
+    def test_port_constraint_sweep(self, force_array, mi, mo):
         dfg = random_small_dfg(3, n=20)
-        _assert_quartet_identical(
+        _assert_trio_identical(
             dfg, max_inputs=mi, max_outputs=mo, max_size=7, **NO_BUDGET
         )
 
     @pytest.mark.parametrize("mix", ("crypto", "dsp"))
-    def test_synth_blocks_bit_identical(self, force_kernels, mix):
+    def test_synth_blocks_bit_identical(self, force_array, mix):
         """Blocks big enough to clear the hybrid cutoff naturally."""
         rng = random.Random(mix)
         dfg = synth_dfg(rng, 60, OP_MIXES[mix])
-        _assert_quartet_identical(
+        _assert_trio_identical(
             dfg, max_inputs=4, max_outputs=2, max_size=6, **NO_BUDGET
         )
 
     @pytest.mark.parametrize("name", ("sha", "adpcm"))
-    def test_benchmark_blocks_bit_identical(self, force_kernels, name):
+    def test_benchmark_blocks_bit_identical(self, force_array, name):
         prog = get_program(name)
         for blk in prog.basic_blocks:
-            _assert_quartet_identical(
+            _assert_trio_identical(
                 blk.dfg, max_inputs=4, max_outputs=2, max_size=6, **NO_BUDGET
             )
 
-    def test_min_size_filter_matches(self, force_kernels):
+    def test_min_size_filter_matches(self, force_array):
         dfg = random_small_dfg(7, n=18)
         for min_size in (1, 3):
             kw = dict(NO_BUDGET, min_size=min_size)
-            _assert_quartet_identical(
+            _assert_trio_identical(
                 dfg, max_inputs=4, max_outputs=2, max_size=6, **kw
             )
 
@@ -143,35 +123,6 @@ class TestArrayBudgets:
         assert s1 == s2
         # The budget really bound (otherwise this test is vacuous).
         assert s1["pruned_visit_budget"] >= 1
-
-    def test_compiled_matches_array_under_binding_budget(self, force_kernels):
-        """The compiled kernel walks the array engine's exact level tree,
-        so — unlike array vs bitset — equality holds even when the
-        per-root visit budgets bind."""
-        rng = random.Random(99)
-        dfg = synth_dfg(rng, 80, OP_MIXES["crypto"])
-        kw = dict(
-            max_inputs=6, max_outputs=4, max_size=12,
-            max_candidates=10**6, min_size=2, max_visited=300,
-        )
-        arr, arr_stats = _run(dfg, "array", **kw)
-        comp, comp_stats = _run(dfg, "compiled", **kw)
-        assert comp == arr
-        assert comp_stats == arr_stats
-        assert arr_stats["pruned_visit_budget"] >= 1
-
-    def test_compiled_matches_array_under_candidate_cap(self, force_kernels):
-        rng = random.Random(99)
-        dfg = synth_dfg(rng, 80, OP_MIXES["crypto"])
-        kw = dict(
-            max_inputs=4, max_outputs=2, max_size=10,
-            max_candidates=25, min_size=2, max_visited=None,
-        )
-        arr, arr_stats = _run(dfg, "array", **kw)
-        comp, comp_stats = _run(dfg, "compiled", **kw)
-        assert comp == arr
-        assert comp_stats == arr_stats
-        assert len(comp) <= 25
 
     def test_candidate_cap_respected(self, force_array):
         rng = random.Random(99)
@@ -203,6 +154,25 @@ class TestHybridDispatch:
         arr, arr_stats = _run(
             dfg, "array", max_inputs=4, max_outputs=2, max_size=8, **NO_BUDGET
         )
+        assert arr == bit
+        assert arr_stats == bit_stats
+
+    def test_large_blocks_delegate_to_bitset(self, monkeypatch):
+        """At or above ARRAY_MAX_NODES the array engine must hand the call
+        to the bitset engine.  Checked under a binding visit budget, where
+        the two walks return different candidates, so a broken delegation
+        cannot pass."""
+        rng = random.Random(99)
+        dfg = synth_dfg(rng, 80, OP_MIXES["crypto"])
+        kw = dict(
+            max_inputs=6, max_outputs=4, max_size=12,
+            max_candidates=10**6, min_size=2, max_visited=300,
+        )
+        bit, bit_stats = _run(dfg, "bitset", **kw)
+        assert bit_stats["pruned_visit_budget"] >= 1
+        assert _run(dfg, "array", **kw)[0] != bit  # batched walk differs
+        monkeypatch.setattr(mimo_array, "ARRAY_MAX_NODES", len(dfg) - 1)
+        arr, arr_stats = _run(dfg, "array", **kw)
         assert arr == bit
         assert arr_stats == bit_stats
 
@@ -250,15 +220,15 @@ class TestIngestedDifferential:
         return [b.dfg for b in program.basic_blocks]
 
     def test_example_kernel_blocks_bit_identical(
-        self, force_kernels, ingested_blocks
+        self, force_array, ingested_blocks
     ):
         assert len(ingested_blocks) >= 3
         for dfg in ingested_blocks:
-            _assert_quartet_identical(
+            _assert_trio_identical(
                 dfg, max_inputs=4, max_outputs=2, max_size=6, **NO_BUDGET
             )
 
-    def test_ingested_source_bit_identical(self, force_kernels):
+    def test_ingested_source_bit_identical(self, force_array):
         from repro.frontend import ingest_source
 
         src = (
@@ -271,6 +241,6 @@ class TestIngestedDifferential:
         )
         program = ingest_source(src)
         for block in program.basic_blocks:
-            _assert_quartet_identical(
+            _assert_trio_identical(
                 block.dfg, max_inputs=4, max_outputs=2, max_size=6, **NO_BUDGET
             )

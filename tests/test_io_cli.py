@@ -199,6 +199,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Pareto" in out
 
+    @pytest.mark.parametrize("surface,args", [
+        ("cli", ["--engine", "compiled", "curve", "crc32"]),
+        ("cli", ["--engine", "auto", "curve", "crc32"]),
+        ("cli", ["mlgp", "crc32", "--engine", "array"]),
+        ("job", ("identify", {"benchmark": "crc32", "engine": "auto"})),
+        ("job", ("curve", {"benchmark": "crc32", "engine": "compiled"})),
+        ("job", ("mlgp", {"benchmarks": ["crc32"], "engine": "array"})),
+    ])
+    def test_unknown_engines_refused(self, surface, args, capsys):
+        """Engine names outside the supported sets fail with one error
+        line, at the CLI and in service job resolution alike."""
+        if surface == "cli":
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert "invalid choice" in err[-1]
+        else:
+            from repro.service import jobs
+
+            with pytest.raises(ReproError, match="unknown .* engine"):
+                jobs.resolve_job(*args)
+
 
 class TestCliFaults:
     def test_faults_synthetic_and_save(self, tmp_path, capsys):

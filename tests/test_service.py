@@ -562,13 +562,18 @@ class TestClientReconnect:
             first.stop()
 
     def test_no_retries_still_fails_fast(self, recorder, tmp_path):
+        """A connection accepted just before stop() is closed with the
+        server, so the client fails at once instead of waiting out its
+        socket timeout."""
         sock = str(tmp_path / "svc.sock")
         srv = _server(socket_path=sock).start()
+        t0 = time.monotonic()
         c = ServiceClient(socket_path=sock)
         srv.stop()
         with pytest.raises(ReproError):
             c.submit(recorder.name, {"x": 1})
         c.close()
+        assert time.monotonic() - t0 < 10.0
 
 
 class TestJobKinds:
